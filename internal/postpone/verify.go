@@ -2,7 +2,6 @@ package postpone
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pattern"
 	"repro/internal/rta"
@@ -24,71 +23,22 @@ func (v Violation) String() string {
 		v.TaskID+1, v.Index, v.Completion, v.Deadline)
 }
 
-// Verify simulates the spare processor's mandatory backup schedule with
-// the analysis' postponed releases over [0, horizon) under preemptive FP
-// and returns every deadline violation (nil = the Theorem 1 backup
-// guarantee holds over the horizon). It is the runtime cross-check of the
-// offline analysis: callers who override θ values can use it to confirm
-// safety before deployment.
+// Verify walks the spare processor's mandatory backup schedule — the
+// mandatory jobs released in [0, horizon), each delayed by its task's
+// postponement interval θi — under preemptive FP and returns every
+// deadline violation (nil = the Theorem 1 backup guarantee holds over the
+// horizon). It is the runtime cross-check of the offline analysis:
+// callers who override θ values can use it to confirm safety before
+// deployment.
 func (a *Analysis) Verify(s *task.Set, kind pattern.Kind, horizon timeu.Time) []Violation {
-	jobs := rta.MandatoryJobs(s, kind, horizon)
-	for i := range jobs {
-		jobs[i].Release += a.Theta[jobs[i].TaskID]
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].Release != jobs[j].Release {
-			return jobs[i].Release < jobs[j].Release
-		}
-		return jobs[i].TaskID < jobs[j].TaskID
+	var violations []Violation
+	rta.ShiftedMisses(s, kind, horizon, a.Theta, func(j rta.MandatoryJob, completion timeu.Time) {
+		violations = append(violations, Violation{
+			TaskID:     j.TaskID,
+			Index:      j.Index,
+			Completion: completion,
+			Deadline:   j.Deadline,
+		})
 	})
-	type act struct {
-		j   rta.MandatoryJob
-		rem timeu.Time
-	}
-	var (
-		ready      []act
-		violations []Violation
-		now        timeu.Time
-		next       int
-	)
-	insert := func(a act) {
-		pos := len(ready)
-		for pos > 0 && ready[pos-1].j.TaskID > a.j.TaskID {
-			pos--
-		}
-		ready = append(ready, act{})
-		copy(ready[pos+1:], ready[pos:])
-		ready[pos] = a
-	}
-	for next < len(jobs) || len(ready) > 0 {
-		if len(ready) == 0 {
-			if next >= len(jobs) {
-				break
-			}
-			now = timeu.Max(now, jobs[next].Release)
-		}
-		for next < len(jobs) && jobs[next].Release <= now {
-			insert(act{j: jobs[next], rem: jobs[next].WCET})
-			next++
-		}
-		cur := &ready[0]
-		until := now + cur.rem
-		if next < len(jobs) && jobs[next].Release < until {
-			until = jobs[next].Release
-		}
-		cur.rem -= until - now
-		now = until
-		if cur.rem == 0 {
-			if now > cur.j.Deadline {
-				violations = append(violations, Violation{
-					TaskID:     cur.j.TaskID,
-					Index:      cur.j.Index,
-					Completion: now,
-					Deadline:   cur.j.Deadline,
-				})
-			}
-			ready = ready[1:]
-		}
-	}
 	return violations
 }

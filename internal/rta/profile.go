@@ -10,15 +10,10 @@ import (
 // (m,k)-hyperperiod — the Theorem-1 schedule — in the aggregate terms
 // the analytical twin's closed-form energy model consumes. It is the
 // recording counterpart of the boolean SchedulableRPattern filter:
-// same mandIter stream, same FP walk, but it keeps what the filter
-// discards (busy time, idle-gap lengths, per-task job counts and
-// response times) and never exits early, so an unschedulable set still
-// yields a complete profile with Schedulable=false.
-//
-// This is deliberately a separate walk from simulateFP: the filter is a
-// //mklint:hotpath function on the sweep's candidate-rejection path and
-// must stay allocation-light, while the profile is computed once per set
-// and memoized in the analysis LRU.
+// the same walk with a recorder, which keeps what the filter discards
+// (busy time, idle-gap lengths, per-task job counts and response times)
+// and never exits early, so an unschedulable set still yields a complete
+// profile with Schedulable=false.
 type Profile struct {
 	// Horizon is the profiled window: the (m,k)-hyperperiod, saturated
 	// at the cap passed to MandatoryProfile.
@@ -52,77 +47,28 @@ type Profile struct {
 // hyperperiod saturated at cap (same convention as SchedulableRPattern).
 func MandatoryProfile(s *task.Set, kind pattern.Kind, cap timeu.Time) Profile {
 	p := Profile{
+		Horizon:     s.MKHyperperiod(cap),
 		Count:       make([]int, s.N()),
 		MaxResponse: make([]timeu.Time, s.N()),
-		Schedulable: true,
 	}
-	p.Horizon = s.MKHyperperiod(cap)
 	if p.Horizon <= 0 {
-		p.Schedulable = false
 		return p
 	}
 	var it mandIter
-	it.init(s, kind, p.Horizon)
-
-	type active struct {
-		j         MandatoryJob
-		remaining timeu.Time
-	}
-	var ready []active
-	insert := func(a active) {
-		pos := len(ready)
-		for pos > 0 {
-			q := ready[pos-1]
-			if q.j.TaskID < a.j.TaskID || (q.j.TaskID == a.j.TaskID && q.j.Index < a.j.Index) {
-				break
-			}
-			pos--
-		}
-		ready = append(ready, active{})
-		copy(ready[pos+1:], ready[pos:])
-		ready[pos] = a
-	}
-
-	now := timeu.Time(0)
-	pend, havePend := it.next()
-	for havePend || len(ready) > 0 {
-		if len(ready) == 0 {
-			if !havePend {
-				break
-			}
-			if pend.Release > now {
-				p.Gaps = append(p.Gaps, pend.Release-now)
-				now = pend.Release
-			}
-		}
-		for havePend && pend.Release <= now {
-			p.Count[pend.TaskID]++
-			p.Busy += pend.WCET
-			insert(active{j: pend, remaining: pend.WCET})
-			pend, havePend = it.next()
-		}
-		if len(ready) == 0 {
-			continue
-		}
-		cur := &ready[0]
-		until := now + cur.remaining
-		if havePend && pend.Release < until {
-			until = pend.Release
-		}
-		cur.remaining -= until - now
-		now = until
-		if cur.remaining == 0 {
-			if now > cur.j.Deadline {
-				p.Schedulable = false
-			}
-			if resp := now - cur.j.Release; resp > p.MaxResponse[cur.j.TaskID] {
-				p.MaxResponse[cur.j.TaskID] = resp
-			}
-			ready = ready[1:]
-		}
-	}
-	if now < p.Horizon {
-		p.Gaps = append(p.Gaps, p.Horizon-now)
-	}
+	it.init(s, kind, p.Horizon, nil)
+	p.Schedulable = walk(&it, &p)
 	return p
+}
+
+// idle and done make *Profile the walk's recorder. Every released job
+// completes in a draining walk, so counting at completion counts the
+// window's releases.
+func (p *Profile) idle(gap timeu.Time) { p.Gaps = append(p.Gaps, gap) }
+
+func (p *Profile) done(j MandatoryJob, completion timeu.Time) {
+	p.Count[j.TaskID]++
+	p.Busy += j.WCET
+	if resp := completion - j.Release; resp > p.MaxResponse[j.TaskID] {
+		p.MaxResponse[j.TaskID] = resp
+	}
 }

@@ -1,6 +1,7 @@
 package rta
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -46,7 +47,8 @@ func TestMandatoryProfilePaperExample(t *testing.T) {
 
 // Property: the recording walk and the boolean filter are the same
 // schedule — identical verdicts, demand identical to the RBF at the
-// horizon, and (for schedulable constrained-deadline sets) busy+gaps
+// horizon, every Profile field and the verdict equal to the tick-stepped
+// reference's, and (for schedulable constrained-deadline sets) busy+gaps
 // tiling the horizon.
 func TestMandatoryProfileMatchesFilter(t *testing.T) {
 	f := func(p1, p2, p3, c1, c2, c3, k1, k2, k3 uint8) bool {
@@ -75,6 +77,13 @@ func TestMandatoryProfileMatchesFilter(t *testing.T) {
 			count += timeu.Time(prof.Count[i]) * t.WCET
 		}
 		if prof.Busy != demand || count != demand {
+			return false
+		}
+		// The tick-stepped reference sees the same schedule.
+		tick := TickFP(s, pattern.RPattern, prof.Horizon, nil)
+		if tick.Met != prof.Schedulable || tick.Busy != prof.Busy ||
+			!slices.Equal(tick.Gaps, prof.Gaps) || !slices.Equal(tick.Count, prof.Count) ||
+			!slices.Equal(tick.MaxResponse, prof.MaxResponse) {
 			return false
 		}
 		// The tiling identity needs an exact hyperperiod: a horizon

@@ -9,6 +9,7 @@ package rta
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/pattern"
 	"repro/internal/task"
@@ -154,26 +155,32 @@ type mandCursor struct {
 
 // mandIter streams the mandatory jobs of a set in (release, priority)
 // order — the k-way merge behind MandatoryJobs, exposed as an iterator so
-// the schedulability filter can consume jobs without materializing a
-// hyperperiod-sized slice per candidate (the allocation used to dominate
-// whole-sweep profiles).
+// the FP walk can consume jobs without materializing a hyperperiod-sized
+// slice per candidate (the allocation used to dominate whole-sweep
+// profiles).
+//
+// A non-nil shift delays every release of task i by shift[i]. The
+// horizon cut stays on the unshifted release: job j of task i is streamed
+// when Release(j) < horizon, with Release = Release(j)+shift[i] and
+// Deadline = AbsDeadline(j).
 type mandIter struct {
 	s       *task.Set
 	kind    pattern.Kind
 	horizon timeu.Time
+	shift   []timeu.Time
 	cur     []mandCursor
 }
 
 //mklint:hotpath
-func (it *mandIter) init(s *task.Set, kind pattern.Kind, horizon timeu.Time) {
-	it.s, it.kind, it.horizon = s, kind, horizon
+func (it *mandIter) init(s *task.Set, kind pattern.Kind, horizon timeu.Time, shift []timeu.Time) {
+	it.s, it.kind, it.horizon, it.shift = s, kind, horizon, shift
 	it.cur = make([]mandCursor, len(s.Tasks))
 	for i := range s.Tasks {
 		it.advance(i, 0)
 	}
 }
 
-// advance moves task i's cursor to its next mandatory release in
+// advance moves task i's cursor to its next mandatory job released in
 // [0, horizon), starting after job index from.
 //
 //mklint:hotpath
@@ -186,6 +193,9 @@ func (it *mandIter) advance(i, from int) {
 			return
 		}
 		if pattern.Mandatory(it.kind, j, t.M, t.K) {
+			if it.shift != nil {
+				r += it.shift[i]
+			}
 			it.cur[i] = mandCursor{j: j, release: r}
 			return
 		}
@@ -226,11 +236,11 @@ func (it *mandIter) next() (mj MandatoryJob, ok bool) {
 //
 // Each task's mandatory jobs are already in release order, so the sorted
 // output is a k-way merge of per-task streams rather than a sort of their
-// concatenation. Callers that only consume the stream once (the
-// schedulability filter) use mandIter directly and skip this slice.
+// concatenation. The FP walk consumes mandIter directly and skips this
+// slice.
 func MandatoryJobs(s *task.Set, kind pattern.Kind, horizon timeu.Time) []MandatoryJob {
 	var it mandIter
-	it.init(s, kind, horizon)
+	it.init(s, kind, horizon, nil)
 	total := 0
 	for _, t := range s.Tasks {
 		if n := int((horizon-t.Offset)/t.Period) + 1; n > 0 {
@@ -266,55 +276,82 @@ func SchedulableRPattern(s *task.Set, kind pattern.Kind, cap timeu.Time) bool {
 		return false
 	}
 	var it mandIter
-	it.init(s, kind, horizon)
-	return simulateFP(s, &it, horizon)
+	it.init(s, kind, horizon, nil)
+	return walk(&it, nil)
 }
 
-// simulateFP runs a fast priority-queue-free FP simulation of the jobs
-// streamed by src (sorted by release time) and reports whether all
-// deadlines are met. The simulation walks release/completion events; at
-// each instant the highest-priority (lowest TaskID, then earliest index)
-// pending job runs. Consuming the stream with a one-job lookahead instead
-// of a materialized slice keeps the per-candidate filter allocation-light
-// regardless of the hyperperiod.
+// ShiftedMisses walks the FP schedule of the mandatory jobs released in
+// [0, horizon) with every release of task i delayed by shift[i] — the
+// backup half of Theorem 1 when shift holds the postponement intervals
+// θi — and calls miss, in completion order, for every job that completes
+// past its unshifted deadline.
+func ShiftedMisses(s *task.Set, kind pattern.Kind, horizon timeu.Time, shift []timeu.Time, miss func(j MandatoryJob, completion timeu.Time)) {
+	var it mandIter
+	it.init(s, kind, horizon, shift)
+	walk(&it, missRecorder(miss))
+}
+
+// recorder observes a draining walk: every idle gap in order, the last
+// one running up to the stream's horizon, and every job completion.
+type recorder interface {
+	idle(gap timeu.Time)
+	done(j MandatoryJob, completion timeu.Time)
+}
+
+// missRecorder reports the completions past their deadline to a callback.
+type missRecorder func(j MandatoryJob, completion timeu.Time)
+
+func (missRecorder) idle(timeu.Time) {}
+
+func (f missRecorder) done(j MandatoryJob, completion timeu.Time) {
+	if completion > j.Deadline {
+		f(j, completion)
+	}
+}
+
+// walk runs the preemptive fixed-priority schedule of the jobs streamed
+// by it, jumping from release to completion; at each instant the pending
+// job of highest priority (lowest TaskID, then earliest Index) runs. It
+// reports whether every job completes by its deadline. It is the one FP
+// walk behind SchedulableRPattern, MandatoryProfile and ShiftedMisses.
+//
+// A nil rec is the filter: the walk records nothing and returns false at
+// the first job that misses its deadline or can no longer make it
+// (now+remaining > deadline). A non-nil rec drains the whole stream,
+// whatever it misses, and sees every idle gap and completion. A walk
+// that does not return early ends when the stream is drained, so it
+// needs no stop time.
 //
 //mklint:hotpath
-func simulateFP(s *task.Set, src *mandIter, horizon timeu.Time) bool {
+func walk(it *mandIter, rec recorder) bool {
 	type active struct {
 		j         MandatoryJob
 		remaining timeu.Time
 	}
-	// ready, kept sorted by priority (TaskID asc, Index asc).
-	var ready []active
-	insert := func(a active) {
-		pos := len(ready)
-		for pos > 0 {
-			p := ready[pos-1]
-			if p.j.TaskID < a.j.TaskID || (p.j.TaskID == a.j.TaskID && p.j.Index < a.j.Index) {
-				break
-			}
-			pos--
-		}
-		ready = append(ready, active{})
-		copy(ready[pos+1:], ready[pos:])
-		ready[pos] = a
-	}
+	// ready, kept sorted by priority.
+	ready := make([]active, 0, len(it.cur))
+	met := true
 	now := timeu.Time(0)
-	pend, havePend := src.next()
+	pend, havePend := it.next()
 	for havePend || len(ready) > 0 {
-		if len(ready) == 0 {
+		if len(ready) == 0 && pend.Release > now {
 			// Idle until the next release.
-			if !havePend {
-				break
+			if rec != nil {
+				rec.idle(pend.Release - now)
 			}
-			now = timeu.Max(now, pend.Release)
+			now = pend.Release
 		}
 		for havePend && pend.Release <= now {
-			insert(active{j: pend, remaining: pend.WCET})
-			pend, havePend = src.next()
-		}
-		if len(ready) == 0 {
-			continue
+			// One task's jobs arrive in index order, so queueing a job
+			// behind its own task's keeps (TaskID, Index) order.
+			pos := len(ready)
+			for pos > 0 && ready[pos-1].j.TaskID > pend.TaskID {
+				pos--
+			}
+			ready = append(ready, active{})
+			copy(ready[pos+1:], ready[pos:])
+			ready[pos] = active{j: pend, remaining: pend.WCET}
+			pend, havePend = it.next()
 		}
 		cur := &ready[0]
 		// Run until completion or the next release, whichever first.
@@ -326,28 +363,22 @@ func simulateFP(s *task.Set, src *mandIter, horizon timeu.Time) bool {
 		now = until
 		if cur.remaining == 0 {
 			if now > cur.j.Deadline {
-				return false
+				if rec == nil {
+					return false
+				}
+				met = false
 			}
-			ready = ready[1:]
-		} else if now+cur.remaining > cur.j.Deadline {
+			if rec != nil {
+				rec.done(cur.j, now)
+			}
+			ready = slices.Delete(ready, 0, 1)
+		} else if rec == nil && now+cur.remaining > cur.j.Deadline {
 			// Even with the processor to itself it will miss; fail early.
 			return false
 		}
-		if now >= horizon+maxDeadline(s) {
-			break
-		}
 	}
-	return true
-}
-
-// maxDeadline bounds how far past the horizon the simulation may need to
-// run to drain jobs released just before it.
-//
-//mklint:hotpath
-func maxDeadline(s *task.Set) timeu.Time {
-	var d timeu.Time
-	for _, t := range s.Tasks {
-		d = timeu.Max(d, t.Deadline)
+	if rec != nil && now < it.horizon {
+		rec.idle(it.horizon - now)
 	}
-	return d
+	return met
 }

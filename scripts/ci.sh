@@ -8,7 +8,8 @@
 # Steps: gofmt -s, go vet, go build, mklint (the project's own static
 # analysis, see cmd/mklint; its ratcheted depdag findings double as the
 # policy-layering gate), go test, go test -race, golden-figure diff
-# (Figures 1-5 vs results/golden/), policy smoke (the full-size DBP
+# (Figures 1-5 vs results/golden/), the Fig-6 CSV diff (the paper-size
+# three-scenario sweep vs results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
 # k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), bench smoke (one iteration of every
 # benchmark + a reduced mkbench sweep emitting BENCH_ci.json), the perf
@@ -70,6 +71,16 @@ for fig in 1 2 3 4 5; do
   go run ./cmd/mktrace -fig "$fig" > "$tmp/fig$fig.txt"
   if ! diff -u "results/golden/fig$fig.txt" "$tmp/fig$fig.txt"; then
     echo "figure $fig regressed (regenerate goldens only if the change is intended)" >&2
+    status=1
+  fi
+done
+[ "$status" = 0 ]
+
+step "Fig-6 CSVs (mkbench -fig all vs results/fig6{a,b,c}.csv)"
+go run ./cmd/mkbench -fig all -sets 20 -candidates 5000 -csv "$tmp" -q > /dev/null
+for f in a b c; do
+  if ! diff -u "results/fig6$f.csv" "$tmp/fig6$f.csv"; then
+    echo "figure 6$f CSV regressed (regenerate only if the change is intended)" >&2
     status=1
   fi
 done
