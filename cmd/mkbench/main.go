@@ -49,15 +49,17 @@ func main() {
 		loU        = flag.Float64("lo", 0.1, "lowest utilization bound")
 		hiU        = flag.Float64("hi", 1.0, "highest utilization bound")
 		quiet      = flag.Bool("q", false, "suppress per-interval progress")
-		noCache    = flag.Bool("nocache", false, "disable the offline-analysis cache (benchmarking the cache itself)")
+		noCache    = flag.Bool("nocache", false, "disable the session cache: redraw every interval and re-derive every analysis (benchmarking the cache itself)")
 		cacheStats = flag.Bool("cachestats", false, "print analysis-cache hit/miss statistics after each figure")
 	)
 	flag.Parse()
 
-	// One session for all figures: the same seed regenerates identical
-	// task sets per figure, so the second and third sweeps hit the
-	// offline-analysis cache instead of re-deriving everything. SIGINT or
-	// SIGTERM cancels gracefully, printing the partial table.
+	// One session for all figures: the three scenarios of one seed use
+	// the same task sets, so the second and third sweeps take each
+	// interval's draw and each set's offline analysis from the session
+	// cache instead of regenerating them (-nocache draws and derives
+	// afresh every time). SIGINT or SIGTERM cancels gracefully, printing
+	// the partial table.
 	runner := repro.NewRunner(repro.RunnerConfig{CacheEntries: cacheCap(*noCache)})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,11 +1,13 @@
 // Tests for the concurrent session behavior the serving layer builds
-// on: single cache admission under a thundering herd, and the stdin
-// entry point of LoadSetFile shared by mkservd, mksim and mkload.
+// on: single cache admission under a thundering herd, one interval draw
+// shared by concurrent sweeps, and the stdin entry point of LoadSetFile
+// shared by mkservd, mksim and mkload.
 package repro
 
 import (
 	"context"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +60,78 @@ func TestAnalysisCacheSingleAdmission(t *testing.T) {
 	}
 	if st.Entries != 1 {
 		t.Errorf("cache entries = %d, want 1", st.Entries)
+	}
+}
+
+// TestConcurrentSweepsShareOneDraw races 16 sweeps of one seed through
+// one Runner. The session's cache must draw each interval once: every
+// sweep gets an identical report built on the same set pointers.
+func TestConcurrentSweepsShareOneDraw(t *testing.T) {
+	r := NewRunner(RunnerConfig{})
+	const n = 16
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		reps  [n]*Report
+		errs  [n]error
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			reps[i], errs[i] = r.Sweep(context.Background(), smallSweepConfig(2))
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("sweep %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(reps[i].Rows, reps[0].Rows) {
+			t.Fatalf("sweep %d: report differs from sweep 0", i)
+		}
+		for ri, row := range reps[i].Rows {
+			for si, sr := range row.Sets {
+				if sr.Set != reps[0].Rows[ri].Sets[si].Set {
+					t.Fatalf("sweep %d interval %d set %d: drawn again instead of shared", i, ri, si)
+				}
+			}
+		}
+	}
+}
+
+// TestUncachedRunnerSharesNoSets checks that CacheEntries: -1 disables
+// the interval memo too: two sweeps of one seed draw their own sets and
+// still report identical rows.
+func TestUncachedRunnerSharesNoSets(t *testing.T) {
+	r := NewRunner(RunnerConfig{CacheEntries: -1})
+	a, err := r.Sweep(context.Background(), smallSweepConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Sweep(context.Background(), smallSweepConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.CSV() != b.CSV() {
+		t.Fatalf("uncached sweeps of one seed differ:\n%s---\n%s", a.CSV(), b.CSV())
+	}
+	sets := 0
+	for ri, row := range a.Rows {
+		for si, sr := range row.Sets {
+			sets++
+			if sr.Set == b.Rows[ri].Sets[si].Set {
+				t.Fatalf("interval %d set %d: uncached runner shared a set between sweeps", ri, si)
+			}
+		}
+	}
+	if sets == 0 {
+		t.Fatal("sweep drew no sets")
+	}
+	if st := r.CacheStats(); st.Entries != 0 || st.Hits != 0 {
+		t.Errorf("uncached runner holds entries: %+v", st)
 	}
 }
 

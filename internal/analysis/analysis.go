@@ -10,8 +10,10 @@
 // A Products value computes everything lazily (a run of MKSS-ST never
 // pays for the θ analysis) and exactly once, and is safe for concurrent
 // use by multiple sweep workers. Cache keys Products by a canonical
-// fingerprint of the set, so regenerated-but-identical sets (the workload
-// generator is deterministic per seed) share one computation.
+// fingerprint of the set, so fingerprint-identical sets share one
+// computation, and memoizes whole interval draws of the workload
+// generator alongside them, so sweeps that differ only in fault scenario
+// share their task sets too.
 package analysis
 
 import (

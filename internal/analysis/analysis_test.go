@@ -9,6 +9,7 @@ import (
 	"repro/internal/postpone"
 	"repro/internal/rta"
 	"repro/internal/task"
+	"repro/internal/workload"
 )
 
 func paperSet() *task.Set {
@@ -175,6 +176,45 @@ func TestCacheConcurrent(t *testing.T) {
 	st := c.Stats()
 	if st.Entries != 2 {
 		t.Fatalf("entries = %d, want 2 (%+v)", st.Entries, st)
+	}
+}
+
+// TestCacheIntervalMemo pins Interval's contract: a repeated key returns
+// the first draw's sets, the draw equals the generator's, Products
+// counters are untouched, and batches share the LRU bound with Products.
+func TestCacheIntervalMemo(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	iv := workload.Interval{Lo: 0.3, Hi: 0.4}
+	want := workload.NewGenerator(cfg, 7).GenerateInterval(iv, 3, 500)
+
+	c := NewCache(2)
+	first := c.Interval(cfg, 7, iv, 3, 500)
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("Interval = %+v, want the generator's draw %+v", first, want)
+	}
+	if again := c.Interval(cfg, 7, iv, 3, 500); again.Sets[0] != first.Sets[0] {
+		t.Fatalf("repeated key drew again instead of returning the cached batch")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want no Products lookups and 1 entry", st)
+	}
+	// Two Products entries push the batch out of the capacity-2 LRU.
+	c.Get(paperSet(), Options{})
+	c.Get(task.NewSet(task.New(0, 5, 2.5, 2, 2, 4), task.New(1, 4, 4, 2, 2, 4)), Options{})
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 entries after 1 eviction", st)
+	}
+	if redrawn := c.Interval(cfg, 7, iv, 3, 500); redrawn.Sets[0] == first.Sets[0] || !reflect.DeepEqual(redrawn, want) {
+		t.Fatalf("evicted batch must be redrawn, identically")
+	}
+
+	off := NewCache(-1)
+	a, b := off.Interval(cfg, 7, iv, 3, 500), off.Interval(cfg, 7, iv, 3, 500)
+	if a.Sets[0] == b.Sets[0] || !reflect.DeepEqual(a, want) {
+		t.Fatalf("disabled cache must draw afresh, identically")
+	}
+	if st := off.Stats(); st.Entries != 0 {
+		t.Fatalf("disabled cache holds %d entries", st.Entries)
 	}
 }
 

@@ -67,8 +67,10 @@ type Config struct {
 	// Intervals run concurrently, so lines may arrive out of interval
 	// order.
 	Progress io.Writer
-	// Cache, when non-nil, memoizes per-set offline analyses across the
-	// sweep (shared by all workers); nil means a sweep-private cache.
+	// Cache, when non-nil, memoizes per-set offline analyses and
+	// per-interval set draws (shared by all workers, and by every sweep
+	// given the same Cache: a scenario sweep after another of the same
+	// Seed reuses its task sets); nil means a sweep-private cache.
 	Cache *analysis.Cache
 	// ScratchPool, when non-nil, recycles engine working state between
 	// runs; nil means a sweep-private pool.
@@ -138,11 +140,13 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // RunContext executes the sweep, sharding whole intervals across the
-// worker budget: each interval generates its task sets and fans the
-// per-set simulations out over a semaphore shared by every interval, so
-// the sweep keeps all workers busy across interval boundaries. Per-set
-// offline analyses are memoized in cfg.Cache and derived once per set,
-// not once per approach.
+// worker budget: each interval draws its task sets and fans the per-set
+// simulations out over a semaphore shared by every interval, so the
+// sweep keeps all workers busy across interval boundaries. Interval
+// draws and per-set offline analyses are memoized in cfg.Cache: a set is
+// generated once per session and analysed once, not once per scenario
+// or approach. The Report's sets are shared with the cache; do not
+// mutate them.
 //
 // On cancellation RunContext returns the partial Report — the intervals
 // that completed, in interval order — together with a non-nil error
@@ -215,8 +219,8 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 				return
 			}
 			sem <- struct{}{}
-			gen := workload.NewGenerator(cfg.Workload, stats.DeriveSeed(cfg.Seed, uint64(cfg.IntervalOffset+ivIdx)))
-			batch := gen.GenerateInterval(iv, cfg.SetsPerInterval, cfg.MaxCandidates)
+			batch := cfg.Cache.Interval(cfg.Workload, stats.DeriveSeed(cfg.Seed, uint64(cfg.IntervalOffset+ivIdx)),
+				iv, cfg.SetsPerInterval, cfg.MaxCandidates)
 			<-sem
 			row := Row{
 				Interval:   iv,

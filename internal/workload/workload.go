@@ -131,7 +131,7 @@ func (g *Generator) Candidate(targetU float64) (*task.Set, error) {
 			wcet = g.cfg.MinWCET
 		}
 		if wcet > period {
-			return nil, fmt.Errorf("workload: task %d infeasible (C=%v > D=%v)", i+1, wcet, period)
+			return nil, &infeasibleError{task: i + 1, wcet: wcet, deadline: period}
 		}
 		tasks[i] = task.Task{
 			ID:       i,
@@ -147,6 +147,18 @@ func (g *Generator) Candidate(targetU float64) (*task.Set, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// infeasibleError is Candidate's error for a task whose WCET exceeds its
+// deadline. About 40% of a sweep's candidates end here and every caller
+// discards the error, so the message is formatted only on demand.
+type infeasibleError struct {
+	task           int // 1-based
+	wcet, deadline timeu.Time
+}
+
+func (e *infeasibleError) Error() string {
+	return fmt.Sprintf("workload: task %d infeasible (C=%v > D=%v)", e.task, e.wcet, e.deadline)
 }
 
 // Schedulable reports whether s passes the evaluation's filter.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -69,6 +71,29 @@ func TestCandidateRejectsBadTarget(t *testing.T) {
 	}
 	if _, err := g.Candidate(-1); err == nil {
 		t.Error("negative target must error")
+	}
+}
+
+// TestCandidateInfeasibleMessage pins the text of Candidate's infeasible
+// error, which is formatted only when asked for, and the draw that
+// produces it: the second candidate of seed 2020 at U=0.9.
+func TestCandidateInfeasibleMessage(t *testing.T) {
+	g := NewGenerator(DefaultConfig(), 2020)
+	if _, err := g.Candidate(0.9); err != nil {
+		t.Fatalf("first candidate: %v, want a feasible set", err)
+	}
+	_, err := g.Candidate(0.9)
+	var inf *infeasibleError
+	if !errors.As(err, &inf) {
+		t.Fatalf("second candidate: err = %v, want an infeasible-task error", err)
+	}
+	const want = "workload: task 1 infeasible (C=47.757ms > D=12ms)"
+	if got := err.Error(); got != want {
+		t.Errorf("message = %q, want %q", got, want)
+	}
+	frac := &infeasibleError{task: 7, wcet: 10*timeu.Millisecond + 500*timeu.Microsecond, deadline: 10 * timeu.Millisecond}
+	if got, want := frac.Error(), "workload: task 7 infeasible (C=10.5ms > D=10ms)"; got != want {
+		t.Errorf("message = %q, want %q", got, want)
 	}
 }
 
@@ -171,5 +196,25 @@ func TestHarmonicPeriods(t *testing.T) {
 		if h := s.MKHyperperiod(10 * timeu.Second); h >= 10*timeu.Second {
 			t.Fatalf("harmonic hyperperiod saturated: %v", h)
 		}
+	}
+}
+
+// sinkInterval keeps BenchmarkGenerateInterval's result live.
+var sinkInterval IntervalResult
+
+// BenchmarkGenerateInterval is the generation layer's benchmark: one
+// whole Fig-6 interval draw (rejection sampling plus the R-pattern
+// filter, 20 sets or 5000 candidates) from the default generator at seed
+// 2020, in a low, a mid and a high bucket.
+func BenchmarkGenerateInterval(b *testing.B) {
+	for _, iv := range []Interval{{0.1, 0.2}, {0.5, 0.6}, {0.9, 1.0}} {
+		b.Run(fmt.Sprintf("u=%.2f", iv.Mid()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkInterval = NewGenerator(DefaultConfig(), 2020).GenerateInterval(iv, 20, 5000)
+			}
+			b.ReportMetric(float64(sinkInterval.Candidates), "candidates")
+			b.ReportMetric(float64(len(sinkInterval.Sets)), "sets")
+		})
 	}
 }

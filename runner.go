@@ -17,10 +17,12 @@ type CacheStats = analysis.CacheStats
 
 // RunnerConfig tunes a Runner. The zero value is the recommended setup.
 type RunnerConfig struct {
-	// CacheEntries bounds the offline-analysis LRU: 0 means the default
-	// capacity (analysis.DefaultCacheEntries); a negative value disables
-	// memoization entirely (every run re-derives its analyses — the
-	// pre-Runner behavior, useful for benchmarking the cache itself).
+	// CacheEntries bounds the offline-analysis LRU (per-set analyses and
+	// per-interval set draws together): 0 means the default capacity
+	// (analysis.DefaultCacheEntries); a negative value disables
+	// memoization entirely (every run re-derives its analyses and every
+	// sweep redraws its sets — the pre-Runner behavior, useful for
+	// benchmarking the cache itself).
 	// The disabled cache is passed down to Sweep too, so a -nocache
 	// session is uncached end to end.
 	CacheEntries int
@@ -28,13 +30,14 @@ type RunnerConfig struct {
 
 // Runner is a reusable simulation session: it memoizes per-set offline
 // analyses (R-pattern tables, RTA response/promotion times, θ intervals)
-// in a size-bounded LRU and recycles engine working state through a
-// scratch pool, so batches of Simulate calls and whole Sweeps avoid
+// and each sweep interval's generated task sets in a size-bounded LRU,
+// and recycles engine working state through a scratch pool, so batches
+// of Simulate calls and whole Sweeps avoid regenerating sets,
 // re-deriving analyses and re-allocating queues run after run.
 //
 // A Runner is safe for concurrent use; results are bit-for-bit identical
 // to the free-function path (the caches only skip recomputation of pure
-// functions of the task set). The zero-configured NewRunner is what the
+// functions of the task set or of the generator's seed and config). The zero-configured NewRunner is what the
 // package-level Simulate/Sweep wrappers use.
 type Runner struct {
 	cache *analysis.Cache // in passthrough mode when memoization is disabled

@@ -9,8 +9,8 @@
 # analysis, see cmd/mklint; its ratcheted depdag findings double as the
 # policy-layering gate), go test, go test -race, golden-figure diff
 # (Figures 1-5 vs results/golden/), the Fig-6 CSV diff (the paper-size
-# three-scenario sweep vs results/fig6{a,b,c}.csv), policy smoke (the full-size DBP
-# k-sequence sweep diffed byte-for-byte against
+# three-scenario sweep, cached and -nocache, vs results/fig6{a,b,c}.csv),
+# policy smoke (the full-size DBP k-sequence sweep diffed byte-for-byte against
 # results/golden/fig7_ksweep.csv), bench smoke (one iteration of every
 # benchmark + a reduced mkbench sweep emitting BENCH_ci.json), the perf
 # gate (BenchmarkSimulate* allocs/op, >15% fails, plus the
@@ -76,13 +76,19 @@ for fig in 1 2 3 4 5; do
 done
 [ "$status" = 0 ]
 
-step "Fig-6 CSVs (mkbench -fig all vs results/fig6{a,b,c}.csv)"
-go run ./cmd/mkbench -fig all -sets 20 -candidates 5000 -csv "$tmp" -q > /dev/null
-for f in a b c; do
-  if ! diff -u "results/fig6$f.csv" "$tmp/fig6$f.csv"; then
-    echo "figure 6$f CSV regressed (regenerate only if the change is intended)" >&2
-    status=1
-  fi
+step "Fig-6 CSVs (mkbench -fig all, cached and -nocache, vs results/fig6{a,b,c}.csv)"
+# The cached run's 6b/6c sweeps reuse 6a's interval draws; the -nocache
+# run draws every interval afresh. Both must reproduce the CSVs.
+mkdir -p "$tmp/cached" "$tmp/nocache"
+go run ./cmd/mkbench -fig all -sets 20 -candidates 5000 -csv "$tmp/cached" -q > /dev/null
+go run ./cmd/mkbench -fig all -nocache -sets 20 -candidates 5000 -csv "$tmp/nocache" -q > /dev/null
+for dir in "$tmp/cached" "$tmp/nocache"; do
+  for f in a b c; do
+    if ! diff -u "results/fig6$f.csv" "$dir/fig6$f.csv"; then
+      echo "figure 6$f CSV regressed in $dir (regenerate only if the change is intended)" >&2
+      status=1
+    fi
+  done
 done
 [ "$status" = 0 ]
 
