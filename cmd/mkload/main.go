@@ -405,22 +405,12 @@ func summarize(lats []float64) latencyDoc {
 	for _, l := range lats {
 		sum += l
 	}
-	q := func(p float64) float64 {
-		i := int(p*float64(len(lats))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(lats) {
-			i = len(lats) - 1
-		}
-		return lats[i]
-	}
 	return latencyDoc{
 		Count:  len(lats),
 		MeanMS: sum / float64(len(lats)),
-		P50MS:  q(0.50),
-		P95MS:  q(0.95),
-		P99MS:  q(0.99),
+		P50MS:  stats.Percentile(lats, 50),
+		P95MS:  stats.Percentile(lats, 95),
+		P99MS:  stats.Percentile(lats, 99),
 		MaxMS:  lats[len(lats)-1],
 	}
 }

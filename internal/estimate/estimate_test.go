@@ -16,17 +16,6 @@ func paperSet() *repro.Set {
 }
 
 func TestRegistry(t *testing.T) {
-	got := Backends()
-	want := []string{"sim", "twin"}
-	if len(got) != len(want) {
-		t.Fatalf("Backends() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Backends() = %v, want %v", got, want)
-		}
-	}
-
 	r := repro.NewRunner(repro.RunnerConfig{})
 	def, err := New("", r)
 	if err != nil {
@@ -35,10 +24,15 @@ func TestRegistry(t *testing.T) {
 	if def.Name() != DefaultBackend {
 		t.Errorf("New(\"\") built %q, want default %q", def.Name(), DefaultBackend)
 	}
+	for _, name := range []string{"twin", "sim"} {
+		if e, err := New(name, r); err != nil || e.Name() != name {
+			t.Errorf("New(%q) = %v, %v; want backend %q", name, e, err, name)
+		}
+	}
 	if _, err := New("oracle", r); err == nil {
 		t.Error("New(oracle) must fail")
-	} else if !strings.Contains(err.Error(), "twin") || !strings.Contains(err.Error(), "sim") {
-		t.Errorf("unknown-backend error should list the registry, got %v", err)
+	} else if !strings.Contains(err.Error(), "want one of sim, twin") {
+		t.Errorf("unknown-backend error should list the backends, got %v", err)
 	}
 }
 

@@ -6,10 +6,6 @@ import (
 	"repro"
 )
 
-func init() {
-	Register("sim", func(r *repro.Runner) Estimator { return &SimBackend{runner: r} })
-}
-
 // SimBackend is the empirical estimator: an adapter that runs the real
 // discrete-event simulation through the shared session and repackages
 // its result as an Answer. It exists so callers can swap exactness for

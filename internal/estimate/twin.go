@@ -13,10 +13,6 @@ import (
 	"repro/internal/timeu"
 )
 
-func init() {
-	Register("twin", func(r *repro.Runner) Estimator { return &Twin{runner: r} })
-}
-
 func defaultPower() repro.PowerModel { return sim.DefaultPower() }
 
 // Twin is the analytical twin: a closed-form model of the simulator

@@ -24,7 +24,7 @@ import (
 // same admission, same coalescing flight, byte-identical mkss-run/v1
 // response.
 //
-// Backend selects among the registered estimators; an exact backend
+// Backend selects the estimator (estimate.New); an exact backend
 // ("sim") runs real simulation work and therefore does pass through the
 // execution-slot admission even without refine (its answer is still
 // packaged as an EstimateDoc, and its run counters are not folded into

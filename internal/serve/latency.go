@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // latencyRing is a fixed-size sliding window of request latencies, the
@@ -46,9 +48,5 @@ func (l *latencyRing) p95() float64 {
 	copy(window, l.buf[:l.n])
 	l.mu.Unlock()
 	sort.Float64s(window)
-	i := (len(window) * 95) / 100
-	if i >= len(window) {
-		i = len(window) - 1
-	}
-	return window[i]
+	return stats.Percentile(window, 95)
 }

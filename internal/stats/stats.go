@@ -7,10 +7,7 @@
 // generated).
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // SplitMix64 advances x and returns the next output of the SplitMix64
 // generator (Steele, Lea, Flood; the standard seed-expansion PRNG). It is
@@ -172,25 +169,15 @@ func (s *Sample) Max() float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
-func (s *Sample) Quantile(q float64) float64 {
-	if len(s.xs) == 0 {
+// Percentile returns the pct-th percentile (0 <= pct <= 100) of an
+// ascending slice by the integer rank rule sorted[min(n*pct/100, n-1)];
+// 0 for an empty slice. It is the one percentile routine: the /healthz
+// p95 gauge the fleet autoscaler reads and mkload's latency summaries
+// both use it, so the two report the same rank for the same window.
+func Percentile(sorted []float64, pct int) float64 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	xs := make([]float64, len(s.xs))
-	copy(xs, s.xs)
-	sort.Float64s(xs)
-	if q <= 0 {
-		return xs[0]
-	}
-	if q >= 1 {
-		return xs[len(xs)-1]
-	}
-	pos := q * float64(len(xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(xs) {
-		return xs[len(xs)-1]
-	}
-	return xs[lo]*(1-frac) + xs[lo+1]*frac
+	return sorted[min(n*pct/100, n-1)]
 }

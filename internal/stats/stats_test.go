@@ -121,7 +121,7 @@ func TestSplitIndependence(t *testing.T) {
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty sample must be all zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -148,28 +148,34 @@ func TestSampleBasics(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 5; i++ {
-		s.Add(float64(i))
+// Percentile pins the /healthz p95 gauge's rank rule, ⌊95n/100⌋ clamped
+// to n-1, so the autoscaler's input is stable for an identical latency
+// window.
+func TestPercentile(t *testing.T) {
+	oldP95 := func(window []float64) float64 {
+		i := (len(window) * 95) / 100
+		if i >= len(window) {
+			i = len(window) - 1
+		}
+		return window[i]
 	}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := s.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+	for _, n := range []int{1, 19, 20, 100, 512} {
+		sorted := make([]float64, n)
+		for i := range sorted {
+			sorted[i] = float64(i + 1)
+		}
+		if got, want := Percentile(sorted, 95), oldP95(sorted); got != want {
+			t.Errorf("n=%d: Percentile(95) = %v, want %v", n, got, want)
+		}
+		if got := Percentile(sorted, 100); got != sorted[n-1] {
+			t.Errorf("n=%d: Percentile(100) = %v, want max %v", n, got, sorted[n-1])
+		}
+		if got := Percentile(sorted, 0); got != sorted[0] {
+			t.Errorf("n=%d: Percentile(0) = %v, want min %v", n, got, sorted[0])
 		}
 	}
-}
-
-func TestQuantileUnsortedInput(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{9, 1, 5, 3, 7} {
-		s.Add(x)
-	}
-	if got := s.Quantile(0.5); got != 5 {
-		t.Errorf("median = %v, want 5", got)
+	if got := Percentile(nil, 95); got != 0 {
+		t.Errorf("Percentile(nil) = %v, want 0", got)
 	}
 }
 
