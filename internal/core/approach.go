@@ -1,10 +1,9 @@
-// Package core names the paper's scheduling approaches and glues them to
-// the policy registry. The concrete sim.Policy implementations live under
-// internal/sim/policy ({static, dynamic, dbp} — see that package's doc
-// for the plug-in contract); core owns the Approach enum, the canonical
-// name table behind every flag parser and report, and the Options pass-
-// through, so callers keep one stable construction surface while policies
-// come and go underneath by registration:
+// Package core names the paper's scheduling approaches and constructs
+// them. The concrete sim.Policy implementations live under
+// internal/sim/policy ({static, dynamic, dbp}); core owns the Approach
+// enum, the canonical name table behind every flag parser and report, the
+// Options alias, and New — one switch from Approach to constructor, the
+// only production construction site:
 //
 //   - MKSS_ST: static R-pattern, main and backup copies of every mandatory
 //     job run concurrently without procrastination — the evaluation's
@@ -65,8 +64,8 @@ const (
 // and the text (un)marshalers: the canonical report name first, then the
 // accepted aliases. Matching is case-insensitive; every cmd/ flag parser
 // goes through ParseApproach rather than keeping its own switch. The
-// canonical names are the policy registry's registration names, so an
-// Approach is constructible iff it is parseable.
+// canonical names are the policies' own Name()s; every row needs a case
+// in New (TestPolicyNames and FuzzParseApproach check both directions).
 var approachNames = []struct {
 	a         Approach
 	canonical string
@@ -145,26 +144,27 @@ func Approaches() []Approach { return []Approach{ST, DP, Greedy, Selective} }
 func Extensions() []Approach { return []Approach{DPBackground, DBP} }
 
 // Options tunes policy construction; the zero value reproduces the paper.
-// The struct is defined by the policy registry (internal/sim/policy) and
-// aliased here so existing call sites keep compiling.
+// The struct is defined next to the policies (internal/sim/policy) and
+// aliased here so callers construct through one package.
 type Options = policy.Options
 
-// New constructs the sim.Policy for an approach, by canonical name, from
-// the policy registry.
+// New constructs the sim.Policy for an approach. It is the one production
+// construction site: the approaches are a closed set, each mapped to its
+// constructor here.
 func New(a Approach, opts Options) (sim.Policy, error) {
-	for _, row := range approachNames {
-		if row.a == a {
-			return policy.New(row.canonical, opts)
-		}
+	switch a {
+	case ST:
+		return static.NewST(opts), nil
+	case DP:
+		return static.NewDP(opts), nil
+	case Greedy:
+		return dynamic.NewGreedy(opts), nil
+	case Selective:
+		return dynamic.NewSelective(opts), nil
+	case DPBackground:
+		return static.NewDPBackground(opts), nil
+	case DBP:
+		return dbp.New(opts), nil
 	}
 	return nil, fmt.Errorf("core: unknown approach %d", int(a))
-}
-
-// MustNew is New for approaches known at compile time.
-func MustNew(a Approach, opts Options) sim.Policy {
-	p, err := New(a, opts)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }

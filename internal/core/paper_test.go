@@ -20,7 +20,7 @@ func fig3Set() *task.Set {
 
 func runApproach(t *testing.T, s *task.Set, a Approach, horizonMS float64) *sim.Result {
 	t.Helper()
-	eng, err := sim.New(s, MustNew(a, Options{}), sim.Config{
+	eng, err := sim.New(s, mustNew(t, a, Options{}), sim.Config{
 		Horizon:     timeu.FromMillis(horizonMS),
 		RecordTrace: true,
 	})

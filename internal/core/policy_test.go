@@ -33,25 +33,34 @@ func TestNewRejectsUnknown(t *testing.T) {
 	if _, err := New(Approach(99), Options{}); err == nil {
 		t.Error("unknown approach accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew must panic on unknown approach")
-		}
-	}()
-	MustNew(Approach(99), Options{})
 }
 
+// TestPolicyNames walks the whole name table, so a row without a case in
+// New fails here.
 func TestPolicyNames(t *testing.T) {
-	for _, a := range Approaches() {
-		p := MustNew(a, Options{})
-		if p.Name() != a.String() {
-			t.Errorf("policy name %q != %q", p.Name(), a.String())
+	for _, name := range ApproachNames() {
+		a, err := ParseApproach(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := mustNew(t, a, Options{}); p.Name() != name {
+			t.Errorf("policy name %q != %q", p.Name(), name)
 		}
 	}
 }
 
+// mustNew is New for approaches known at compile time.
+func mustNew(t *testing.T, a Approach, opts Options) sim.Policy {
+	t.Helper()
+	p, err := New(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // The FP tie-break ordering test of the shared FPLess helper lives with
-// the helper, in internal/sim/policy/registry_test.go.
+// the helper, in internal/sim/policy/policy_test.go.
 
 func run(t *testing.T, s *task.Set, p sim.Policy, horizonMS float64, faults *fault.Plan) *sim.Result {
 	t.Helper()
@@ -75,7 +84,7 @@ func run(t *testing.T, s *task.Set, p sim.Policy, horizonMS float64, faults *fau
 // mandatory demand.
 func TestSTConcurrentCopies(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3))
-	r := run(t, s, MustNew(ST, Options{}), 30, nil)
+	r := run(t, s, mustNew(t, ST, Options{}), 30, nil)
 	// R-pattern (2,3): jobs 1,2 mandatory -> 2 jobs * 3ms * 2 copies.
 	if got := r.ActiveEnergy(); got != 12 {
 		t.Errorf("energy = %v, want 12", got)
@@ -97,7 +106,7 @@ func TestSTConcurrentCopies(t *testing.T) {
 // (postponed past the main's completion and canceled cleanly).
 func TestDPCancelsBackups(t *testing.T) {
 	s := task.NewSet(task.New(0, 20, 20, 2, 1, 2))
-	r := run(t, s, MustNew(DP, Options{}), 40, nil)
+	r := run(t, s, mustNew(t, DP, Options{}), 40, nil)
 	// Y = D - R = 18; main done at 2 << 18.
 	if r.Counters.BackupsCanceledClean != r.Counters.BackupsCreated {
 		t.Errorf("clean cancels %d of %d backups",
@@ -112,7 +121,7 @@ func TestDPCancelsBackups(t *testing.T) {
 // τ1 mains on the primary and τ2 mains on the spare.
 func TestDPAlternatesMains(t *testing.T) {
 	s := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 3, 1, 2))
-	r := run(t, s, MustNew(DP, Options{}), 20, nil)
+	r := run(t, s, mustNew(t, DP, Options{}), 20, nil)
 	for _, seg := range r.Trace {
 		if seg.Copy != task.Main {
 			continue
@@ -129,7 +138,7 @@ func TestDPAlternatesMains(t *testing.T) {
 // skip,skip,skip,exec repeating.
 func TestSelectiveSkipsHighFD(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 5))
-	r := run(t, s, MustNew(Selective, Options{}), 200, nil)
+	r := run(t, s, mustNew(t, Selective, Options{}), 200, nil)
 	want := []bool{false, false, false, true} // repeating
 	for i, got := range r.Outcomes[0] {
 		if got != want[i%4] {
@@ -150,7 +159,7 @@ func TestSelectiveSkipsHighFD(t *testing.T) {
 // Figure 2 behavior for τ2.
 func TestSelectiveOneTwoTaskExecutesEverything(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 2))
-	r := run(t, s, MustNew(Selective, Options{}), 100, nil)
+	r := run(t, s, mustNew(t, Selective, Options{}), 100, nil)
 	for i, got := range r.Outcomes[0] {
 		if !got {
 			t.Errorf("outcome[%d] = miss; (1,2) under selective executes every job", i)
@@ -169,7 +178,7 @@ func TestSelectiveFailedOptionalForcesMandatory(t *testing.T) {
 	// 0<m<k: use (3,4) with heavy C); tau2's optional (FD1, alternation
 	// start: primary) gets starved.
 	s := task.NewSet(task.New(0, 10, 10, 9, 3, 4), task.New(1, 20, 20, 8, 1, 2))
-	r := run(t, s, MustNew(Selective, Options{}), 200, nil)
+	r := run(t, s, mustNew(t, Selective, Options{}), 200, nil)
 	if r.Counters.MandatoryJobs == 0 {
 		t.Skip("no mandatory jobs materialized; premise broken")
 	}
@@ -183,7 +192,7 @@ func TestSelectiveFailedOptionalForcesMandatory(t *testing.T) {
 // optional jobs on the primary.
 func TestSelectiveAlternationDisabled(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 2))
-	r := run(t, s, MustNew(Selective, Options{NoAlternation: true}), 100, nil)
+	r := run(t, s, mustNew(t, Selective, Options{NoAlternation: true}), 100, nil)
 	for _, seg := range r.Trace {
 		if seg.Proc != sim.Primary {
 			t.Errorf("segment on spare despite NoAlternation: %+v", seg)
@@ -195,7 +204,7 @@ func TestSelectiveAlternationDisabled(t *testing.T) {
 // spreads across both processors.
 func TestSelectiveAlternationEnabled(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 2))
-	r := run(t, s, MustNew(Selective, Options{}), 100, nil)
+	r := run(t, s, mustNew(t, Selective, Options{}), 100, nil)
 	seen := map[int]bool{}
 	for _, seg := range r.Trace {
 		seen[seg.Proc] = true
@@ -209,7 +218,7 @@ func TestSelectiveAlternationEnabled(t *testing.T) {
 // uncontended set every job of a (1,4) task runs.
 func TestGreedyExecutesAllOptionals(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 4))
-	r := run(t, s, MustNew(Greedy, Options{}), 100, nil)
+	r := run(t, s, mustNew(t, Greedy, Options{}), 100, nil)
 	for i, got := range r.Outcomes[0] {
 		if !got {
 			t.Errorf("outcome[%d] = miss; greedy executes everything when possible", i)
@@ -230,7 +239,7 @@ func TestGreedyOrdersByFlexibility(t *testing.T) {
 	// tau1 (2,4): FD 2 at start; tau2 (1,2): FD 1 at start. Both release
 	// at 0; tau2's optional must run first despite lower FP priority.
 	s := task.NewSet(task.New(0, 20, 20, 3, 2, 4), task.New(1, 20, 20, 3, 1, 2))
-	r := run(t, s, MustNew(Greedy, Options{}), 20, nil)
+	r := run(t, s, mustNew(t, Greedy, Options{}), 20, nil)
 	var first sim.Segment
 	for _, seg := range r.Trace {
 		if seg.Start == 0 {
@@ -249,7 +258,7 @@ func TestPoliciesSurvivePermanentFaultAtZero(t *testing.T) {
 	for _, a := range Approaches() {
 		for proc := 0; proc < sim.NumProcs; proc++ {
 			plan := &fault.Plan{Permanent: &fault.Permanent{At: 0, Proc: proc}}
-			r := run(t, s, MustNew(a, Options{}), 120, plan)
+			r := run(t, s, mustNew(t, a, Options{}), 120, plan)
 			if !r.MKSatisfied() {
 				t.Errorf("%v, proc %d dead at 0: (m,k) violated (outcomes %v)", a, proc, r.Outcomes)
 			}
@@ -264,8 +273,8 @@ func TestPoliciesSurvivePermanentFaultAtZero(t *testing.T) {
 // TestFDThresholdZeroDefaultsToOne: Options normalization.
 func TestFDThresholdZeroDefaultsToOne(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 5))
-	r0 := run(t, s, MustNew(Selective, Options{}), 200, nil)
-	r1 := run(t, s, MustNew(Selective, Options{FDThreshold: 1}), 200, nil)
+	r0 := run(t, s, mustNew(t, Selective, Options{}), 200, nil)
+	r1 := run(t, s, mustNew(t, Selective, Options{FDThreshold: 1}), 200, nil)
 	if r0.ActiveEnergy() != r1.ActiveEnergy() {
 		t.Error("zero FDThreshold must equal threshold 1")
 	}
@@ -275,8 +284,8 @@ func TestFDThresholdZeroDefaultsToOne(t *testing.T) {
 // the scheme execute more optional jobs (the ablation's point).
 func TestFDThresholdTwoExecutesMore(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 5))
-	r1 := run(t, s, MustNew(Selective, Options{FDThreshold: 1}), 400, nil)
-	r2 := run(t, s, MustNew(Selective, Options{FDThreshold: 2}), 400, nil)
+	r1 := run(t, s, mustNew(t, Selective, Options{FDThreshold: 1}), 400, nil)
+	r2 := run(t, s, mustNew(t, Selective, Options{FDThreshold: 2}), 400, nil)
 	if r2.Counters.OptionalSelected <= r1.Counters.OptionalSelected {
 		t.Errorf("threshold 2 selected %d <= threshold 1 selected %d",
 			r2.Counters.OptionalSelected, r1.Counters.OptionalSelected)
@@ -288,8 +297,8 @@ func TestFDThresholdTwoExecutesMore(t *testing.T) {
 func TestThetaVsYAblation(t *testing.T) {
 	// Use the Figure 5 set where theta2=4 > Y2=1.
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 8, 1, 2))
-	rTheta := run(t, s, MustNew(Selective, Options{}), 300, nil)
-	rY := run(t, s, MustNew(Selective, Options{UsePromotionForTheta: true}), 300, nil)
+	rTheta := run(t, s, mustNew(t, Selective, Options{}), 300, nil)
+	rY := run(t, s, mustNew(t, Selective, Options{UsePromotionForTheta: true}), 300, nil)
 	if rY.ActiveEnergy() < rTheta.ActiveEnergy() {
 		t.Errorf("Y-postponement (%v) beat theta-postponement (%v)",
 			rY.ActiveEnergy(), rTheta.ActiveEnergy())
@@ -301,7 +310,7 @@ func TestThetaVsYAblation(t *testing.T) {
 func TestEPatternOption(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 4), task.New(1, 15, 15, 4, 1, 3))
 	for _, a := range []Approach{ST, DP} {
-		r := run(t, s, MustNew(a, Options{Pattern: pattern.EPattern}), 300, nil)
+		r := run(t, s, mustNew(t, a, Options{Pattern: pattern.EPattern}), 300, nil)
 		if !r.MKSatisfied() {
 			t.Errorf("%v with E-pattern violated (m,k)", a)
 		}
@@ -313,7 +322,7 @@ func TestEPatternOption(t *testing.T) {
 func TestTransientFaultOnOptionalRecordsMiss(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 1, 2))
 	plan := fault.NoFaults().WithTransientRate(10) // every job faults
-	r := run(t, s, MustNew(Selective, Options{}), 100, plan)
+	r := run(t, s, mustNew(t, Selective, Options{}), 100, plan)
 	if r.Counters.TransientFaults == 0 {
 		t.Fatal("no transient faults at huge rate")
 	}
@@ -329,8 +338,8 @@ func TestDeterministicPolicies(t *testing.T) {
 	for _, a := range Approaches() {
 		plan1 := fault.NewPlan(fault.PermanentAndTransient, timeu.FromMillis(300), stats.NewRand(5))
 		plan2 := fault.NewPlan(fault.PermanentAndTransient, timeu.FromMillis(300), stats.NewRand(5))
-		r1 := run(t, s, MustNew(a, Options{}), 300, plan1)
-		r2 := run(t, s, MustNew(a, Options{}), 300, plan2)
+		r1 := run(t, s, mustNew(t, a, Options{}), 300, plan1)
+		r2 := run(t, s, mustNew(t, a, Options{}), 300, plan2)
 		if r1.ActiveEnergy() != r2.ActiveEnergy() || r1.Counters != r2.Counters {
 			t.Errorf("%v not deterministic", a)
 		}
@@ -342,8 +351,8 @@ func TestDeterministicPolicies(t *testing.T) {
 // and its schedule still keeps (m,k).
 func TestDPBackgroundRunsBackupsEarly(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 3, 2, 3), task.New(1, 15, 15, 4, 1, 2))
-	alap := run(t, s, MustNew(DP, Options{}), 300, nil)
-	bg := run(t, s, MustNew(DPBackground, Options{}), 300, nil)
+	alap := run(t, s, mustNew(t, DP, Options{}), 300, nil)
+	bg := run(t, s, mustNew(t, DPBackground, Options{}), 300, nil)
 	if bg.ActiveEnergy() < alap.ActiveEnergy() {
 		t.Errorf("background DP (%v) cheaper than ALAP DP (%v)", bg.ActiveEnergy(), alap.ActiveEnergy())
 	}
@@ -375,7 +384,7 @@ func TestDPBackgroundPromotionPreempts(t *testing.T) {
 	// long tau2 main and a short tau1 Y, the promoted backup J'1 must
 	// preempt the running tau2 main on the spare.
 	s := task.NewSet(task.New(0, 20, 8, 3, 1, 2), task.New(1, 20, 20, 10, 1, 2))
-	r := run(t, s, MustNew(DPBackground, Options{}), 20, nil)
+	r := run(t, s, mustNew(t, DPBackground, Options{}), 20, nil)
 	if !r.MKSatisfied() {
 		t.Fatalf("(m,k) violated; outcomes %v", r.Outcomes)
 	}
@@ -392,12 +401,6 @@ func TestExtensionsList(t *testing.T) {
 	if DBP.String() != "MKSS-DBP" {
 		t.Errorf("DBP string = %q", DBP.String())
 	}
-	for _, a := range exts {
-		p := MustNew(a, Options{})
-		if p.Name() != a.String() {
-			t.Errorf("policy name = %q, want %q", p.Name(), a)
-		}
-	}
 }
 
 // TestGreedyUnderPermanentFault covers the dynamic policies' fault
@@ -407,7 +410,7 @@ func TestGreedyUnderPermanentFault(t *testing.T) {
 	s := task.NewSet(task.New(0, 10, 10, 2, 2, 3), task.New(1, 15, 15, 3, 1, 2))
 	for proc := 0; proc < sim.NumProcs; proc++ {
 		plan := &fault.Plan{Permanent: &fault.Permanent{At: timeu.FromMillis(47), Proc: proc}}
-		r := run(t, s, MustNew(Greedy, Options{}), 300, plan)
+		r := run(t, s, mustNew(t, Greedy, Options{}), 300, plan)
 		if !r.MKSatisfied() {
 			t.Errorf("greedy, proc %d dead: (m,k) violated", proc)
 		}

@@ -388,6 +388,9 @@ func TestSweepSpecNormalize(t *testing.T) {
 	if _, err := (SweepSpec{Lo: 0.5, Hi: 0.4}).Normalized(); err == nil {
 		t.Error("hi <= lo accepted")
 	}
+	if _, err := (SweepSpec{Hi: 1e300}).Normalized(); err == nil {
+		t.Error("hi > 1 accepted")
+	}
 	if _, err := (SweepSpec{Approaches: []string{"bogus"}}).Normalized(); err == nil {
 		t.Error("unknown approach accepted")
 	}

@@ -37,7 +37,7 @@ type depLayer struct {
 // downward. Same-rank entries are peers: neither may import the other.
 // internal/sim/policy has its own entry above the engine: policy
 // packages import the sim kernel (and the memoized analysis products),
-// never the reverse — the deny edge below names the rule explicitly.
+// never the reverse — the ranks alone reject a kernel→policy import.
 var depLayers = []depLayer{
 	{"internal/timeu", 10, "time utils"},
 	{"internal/stats", 10, "statistics"},
@@ -68,23 +68,15 @@ var depLayers = []depLayer{
 
 // depDeny is one explicit deny edge: packages under from must not import
 // packages under to, regardless of rank, unless the importee is under
-// except or the importer is under exceptFrom.
+// except.
 type depDeny struct {
-	from string
-	to   string // "" denies every module-internal import
-	// except exempts importees; exceptFrom exempts importers (it carves a
-	// subtree out of from — e.g. the policy packages under internal/sim
-	// are not the kernel the sim→policy edge protects).
-	except     string // "" = no exception
-	exceptFrom string // "" = no exception
-	why        string
+	from   string
+	to     string // "" denies every module-internal import
+	except string // "" = no exception
+	why    string
 }
 
 var depDenies = []depDeny{
-	{
-		from: "internal/sim", exceptFrom: "internal/sim/policy", to: "internal/sim/policy",
-		why: "the engine kernel must not know concrete policies; register new policies from internal/sim/policy sub-packages instead",
-	},
 	{
 		from: "internal/serve/wire", to: "internal/sim",
 		why: "wire is a pure schema package; translate engine types in internal/serve instead",
@@ -175,9 +167,6 @@ func runDepdag(p *Pass) {
 			}
 			for _, d := range depDenies {
 				if !underPath(fromRel, d.from) {
-					continue
-				}
-				if d.exceptFrom != "" && underPath(fromRel, d.exceptFrom) {
 					continue
 				}
 				if d.to != "" && !underPath(toRel, d.to) {

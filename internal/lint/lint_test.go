@@ -157,13 +157,12 @@ func TestDepdagStoreDenyEdge(t *testing.T) {
 	t.Fatalf("seeded internal/store → internal/sim import was not rejected; got %v", diags)
 }
 
-// TestDepdagPolicyDenyEdge pins the policy subsystem's one-way rule by
-// name: the fixture's internal/sim package imports its own policy
-// subtree, and the explicit kernel→policy deny edge rejects it (on top
-// of the rank inversion), while the fixture's policy package itself —
-// which sits under internal/sim by path — draws no diagnostic, proving
-// the exceptFrom carve-out keeps the edge one-way rather than banning
-// the whole subtree.
+// TestDepdagPolicyDenyEdge pins the policy subsystem's one-way rule: the
+// fixture's internal/sim package imports its own policy subtree and the
+// rank table rejects it (engine layer 40 below policy layer 48), while
+// the fixture's policy package itself — which sits under internal/sim by
+// path — draws no diagnostic, so the rule is one-way rather than a ban
+// on the whole subtree.
 func TestDepdagPolicyDenyEdge(t *testing.T) {
 	prog, err := Load(filepath.Join("testdata", "src", "depdag"))
 	if err != nil {
@@ -175,7 +174,7 @@ func TestDepdagPolicyDenyEdge(t *testing.T) {
 		if strings.HasPrefix(d.File, "internal/sim/policy/") {
 			t.Errorf("policy package drew a diagnostic: %s", d)
 		}
-		if d.File == "internal/sim/sim.go" && strings.Contains(d.Message, "must not import fx/internal/sim/policy") {
+		if d.File == "internal/sim/sim.go" && strings.Contains(d.Message, "must not import internal/sim/policy (layer 48") {
 			found = true
 		}
 	}

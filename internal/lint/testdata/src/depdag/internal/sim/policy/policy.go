@@ -1,8 +1,7 @@
-// Package policy stands in for the scheduling-policy registry. Its own
-// entry (layer 48) sits above the engine, so policy packages may import
-// the kernel while the kernel may never import back — the seeded
-// violation in internal/sim exercises both the rank check and the
-// explicit deny edge.
+// Package policy stands in for the scheduling-policy tree. Its own entry
+// (layer 48) sits above the engine, so policy packages may import the
+// kernel while the kernel may never import back — the seeded violation
+// in internal/sim exercises the rank check.
 package policy
 
 import "fx/internal/timeu"

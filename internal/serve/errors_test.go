@@ -80,6 +80,16 @@ func TestErrorBodiesAreStructured(t *testing.T) {
 		}
 	})
 
+	t.Run("hi above 1", func(t *testing.T) {
+		resp := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Lo: 0.3, Hi: 1e300})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if doc := decodeError(t, resp); doc.Code != CodeBadRequest || !strings.Contains(doc.Error, "hi") {
+			t.Errorf("error doc = %+v, want a bad_request naming hi", doc)
+		}
+	})
+
 	t.Run("bad approach", func(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Set: paperSpec(), Approach: "bogus"})
 		if resp.StatusCode != http.StatusBadRequest {

@@ -427,6 +427,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Hi <= 0 {
 		req.Hi = 1.0
 	}
+	if req.Hi > 1 {
+		// The utilization axis ends at 1.0; a wider range would build one
+		// interval per 0.1 on this goroutine before admission.
+		s.reject(w, http.StatusBadRequest, 0, "hi must not exceed 1")
+		return
+	}
 	if req.Hi <= req.Lo {
 		s.reject(w, http.StatusBadRequest, 0, "hi must exceed lo")
 		return

@@ -6,8 +6,8 @@
 // copy goes where, in which priority band, and when backups become
 // eligible — are delegated to a Policy; concrete implementations (the
 // paper's four approaches plus extensions) live in the internal/sim/policy
-// registry tree and are constructed by name, so the kernel never imports
-// a policy.
+// tree and are constructed by core.New, so the kernel never imports a
+// policy.
 //
 // The engine is event-driven: between consecutive events (job releases,
 // completions, deadlines, postponed-release/promotion activations, the
@@ -285,9 +285,6 @@ func (e *Engine) Set() *task.Set { return e.set }
 
 // Horizon returns the configured horizon.
 func (e *Engine) Horizon() timeu.Time { return e.cfg.Horizon }
-
-// ProcDead reports whether processor p has suffered the permanent fault.
-func (e *Engine) ProcDead(p int) bool { return e.procs[p].dead }
 
 // Survivor returns the index of a live processor (the survivor after a
 // permanent fault; Primary when both are alive).

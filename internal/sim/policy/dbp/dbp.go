@@ -18,14 +18,11 @@ import (
 	"repro/internal/timeu"
 )
 
-// Name is the canonical policy name, as registered and reported.
+// Name is the canonical policy name, as reported.
 const Name = "MKSS-DBP"
 
-func init() {
-	policy.Register(Name, func(opts policy.Options) sim.Policy {
-		return &dbpPolicy{opts: opts}
-	})
-}
+// New builds the MKSS-DBP policy.
+func New(opts policy.Options) sim.Policy { return &dbpPolicy{opts: opts} }
 
 // dbpPolicy schedules every job by its distance to failure: the number of
 // consecutive future deadline misses the task can absorb before its

@@ -213,17 +213,10 @@ func TestReleaseClassification(t *testing.T) {
 	}
 }
 
-// TestRegistryConstructible pins the policy's registry wiring: MKSS-DBP
-// is constructible by name and reports its canonical name.
-func TestRegistryConstructible(t *testing.T) {
-	p, err := policy.New(Name, policy.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != Name {
+// TestNewName pins the constructor to the canonical name every report and
+// store key carries.
+func TestNewName(t *testing.T) {
+	if p := New(policy.Options{}); p.Name() != Name {
 		t.Errorf("Name() = %q, want %q", p.Name(), Name)
-	}
-	if _, err := policy.New("mkss-dbp", policy.Options{}); err != nil {
-		t.Errorf("case-insensitive lookup failed: %v", err)
 	}
 }

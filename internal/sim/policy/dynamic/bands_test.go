@@ -52,16 +52,16 @@ func TestGreedyLessBands(t *testing.T) {
 	}
 }
 
-// TestRegistryNames pins that both dynamic policies are registered and
-// constructible by canonical name.
-func TestRegistryNames(t *testing.T) {
-	for _, name := range []string{NameGreedy, NameSelective} {
-		p, err := policy.New(name, policy.Options{})
-		if err != nil {
-			t.Fatalf("policy.New(%q): %v", name, err)
-		}
-		if p.Name() != name {
-			t.Errorf("Name() = %q, want %q", p.Name(), name)
-		}
+// TestConstructors pins both constructors to their canonical names and
+// NewSelective's FDThreshold default (zero means the paper's 1).
+func TestConstructors(t *testing.T) {
+	if p := NewGreedy(policy.Options{}); p.Name() != NameGreedy {
+		t.Errorf("NewGreedy Name() = %q", p.Name())
+	}
+	if p := NewSelective(policy.Options{}); p.Name() != NameSelective {
+		t.Errorf("NewSelective Name() = %q", p.Name())
+	}
+	if got := NewSelective(policy.Options{}).(*selectivePolicy).opts.FDThreshold; got != 1 {
+		t.Errorf("zero FDThreshold became %d, want 1", got)
 	}
 }

@@ -14,19 +14,22 @@ import (
 	"repro/internal/timeu"
 )
 
-// Canonical policy names, as registered and reported.
+// Canonical policy names, as reported.
 const (
 	NameGreedy    = "MKSS-greedy"
 	NameSelective = "MKSS-selective"
 )
 
-func init() {
-	policy.Register(NameGreedy, func(opts policy.Options) sim.Policy {
-		return &greedyPolicy{opts: opts}
-	})
-	policy.Register(NameSelective, func(opts policy.Options) sim.Policy {
-		return &selectivePolicy{opts: opts}
-	})
+// NewGreedy builds the §III greedy straw-man.
+func NewGreedy(opts policy.Options) sim.Policy { return &greedyPolicy{opts: opts} }
+
+// NewSelective builds MKSS_selective. A zero FDThreshold means the
+// paper's value, 1.
+func NewSelective(opts policy.Options) sim.Policy {
+	if opts.FDThreshold == 0 {
+		opts.FDThreshold = 1
+	}
+	return &selectivePolicy{opts: opts}
 }
 
 // greedyPolicy is the §III straw-man: dynamic (m,k) patterns with *every*

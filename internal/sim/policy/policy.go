@@ -1,26 +1,21 @@
-// Package policy is the plug-in layer between the simulation kernel and
-// the concrete scheduling schemes. The engine (internal/sim) owns time,
+// Package policy is the layer between the simulation kernel and the
+// concrete scheduling schemes. The engine (internal/sim) owns time,
 // processors, energy and settlement; everything approach-specific — which
 // job copy goes where, in which priority band, when backups become
-// eligible — lives in a sim.Policy implementation registered here by
-// name.
+// eligible — lives in a sim.Policy implementation in one of the
+// sub-packages (static, dynamic, dbp), each exporting a plain constructor
+// per scheme.
 //
-// Implementations live in sub-packages (static, dynamic, dbp) and
-// register themselves from init, so adding a scheme never touches the
-// kernel: a new policy package imports sim and this registry, calls
-// Register, and becomes selectable by name from every cmd/ binary. The
-// one-way dependency (policy packages import sim, never the reverse) is
-// enforced by the depdag lint table.
+// The schemes are a closed set: internal/core maps each Approach to its
+// constructor with one switch, so core.New is the only production
+// construction site. The sub-packages import sim, never the reverse; the
+// depdag layer table enforces that edge by rank (the engine sits below
+// this tree).
 package policy
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/analysis"
 	"repro/internal/pattern"
-	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/timeu"
 )
@@ -38,7 +33,8 @@ type Options struct {
 	NoAlternation bool
 	// FDThreshold is the flexibility-degree eligibility threshold of the
 	// selective scheme; optional jobs with 1 <= FD <= FDThreshold are
-	// selected. Zero means the paper's value, 1. (Ablation knob.)
+	// selected. Zero means the paper's value, 1 (applied by
+	// dynamic.NewSelective). (Ablation knob.)
 	FDThreshold int
 	// UsePromotionForTheta makes the selective scheme postpone backups by
 	// Yi instead of θi (ablation: isolates the benefit of Defs. 2–5).
@@ -50,55 +46,6 @@ type Options struct {
 	// HyperperiodCap, from a set fingerprint-identical to the one
 	// simulated; repro.Runner guarantees both.
 	Offline *analysis.Products
-}
-
-// Builder constructs one policy instance from options. Builders must be
-// cheap: per-set analysis belongs in the policy's Init, where the engine
-// and its memoized offline products are available.
-type Builder func(Options) sim.Policy
-
-// registry maps lower-cased policy names to builders; names keeps the
-// canonical spellings in registration order so listings never iterate
-// the map. Registration runs from package inits (serialized by the
-// runtime); lookups afterwards are read-only, so no lock is needed.
-var (
-	registry = map[string]Builder{}
-	names    []string
-)
-
-// Register adds a policy under its canonical name. It panics on a
-// duplicate or empty registration — both are programmer errors caught at
-// process start by any test that imports the implementation packages.
-func Register(name string, build Builder) {
-	if name == "" || build == nil {
-		panic("policy: Register with empty name or nil builder")
-	}
-	key := strings.ToLower(name)
-	if _, dup := registry[key]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration of %q", name))
-	}
-	registry[key] = build
-	names = append(names, name)
-}
-
-// New builds the named policy (case-insensitive). The FDThreshold default
-// is applied here so every construction path sees the paper's value.
-func New(name string, opts Options) (sim.Policy, error) {
-	if opts.FDThreshold == 0 {
-		opts.FDThreshold = 1
-	}
-	build, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)", name, strings.Join(Names(), ", "))
-	}
-	return build(opts), nil
-}
-
-// Names lists the registered canonical names, sorted.
-func Names() []string {
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	return out
 }
 
 // FPLess is plain fixed-priority ordering: lower task index first, then

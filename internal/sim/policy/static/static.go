@@ -14,23 +14,22 @@ import (
 	"repro/internal/timeu"
 )
 
-// Canonical policy names, as registered and reported.
+// Canonical policy names, as reported.
 const (
 	NameST           = "MKSS-ST"
 	NameDP           = "MKSS-DP"
 	NameDPBackground = "MKSS-DP-background"
 )
 
-func init() {
-	policy.Register(NameST, func(opts policy.Options) sim.Policy {
-		return &stPolicy{opts: opts}
-	})
-	policy.Register(NameDP, func(opts policy.Options) sim.Policy {
-		return &dpPolicy{opts: opts}
-	})
-	policy.Register(NameDPBackground, func(opts policy.Options) sim.Policy {
-		return &dpPolicy{opts: opts, background: true}
-	})
+// NewST builds MKSS_ST.
+func NewST(opts policy.Options) sim.Policy { return &stPolicy{opts: opts} }
+
+// NewDP builds MKSS_DP.
+func NewDP(opts policy.Options) sim.Policy { return &dpPolicy{opts: opts} }
+
+// NewDPBackground builds the MKSS-DP-background extension.
+func NewDPBackground(opts policy.Options) sim.Policy {
+	return &dpPolicy{opts: opts, background: true}
 }
 
 // stPolicy is MKSS_ST: static pattern, both copies of every mandatory job

@@ -36,13 +36,13 @@ func TestRunKeyNoCollisions(t *testing.T) {
 }
 
 // TestRunKeyDistinguishesAllApproaches locks the approach dimension
-// against the live registry: every pair of canonical policy names —
-// including the registered extensions like MKSS-DBP — must key
-// differently with all other fields equal.
+// against the live approach table: every pair of canonical policy names —
+// including the extensions like MKSS-DBP — must key differently with all
+// other fields equal.
 func TestRunKeyDistinguishesAllApproaches(t *testing.T) {
 	names := append(repro.Approaches(), repro.Extensions()...)
 	if len(names) < 6 {
-		t.Fatalf("expected at least 6 registered approaches, got %v", names)
+		t.Fatalf("expected at least 6 approaches, got %v", names)
 	}
 	seen := map[string]repro.Approach{}
 	for _, a := range names {

@@ -13,7 +13,11 @@ import (
 func fig1Run(t *testing.T, a core.Approach) (*task.Set, *sim.Result) {
 	t.Helper()
 	s := task.NewSet(task.New(0, 5, 4, 3, 2, 4), task.New(1, 10, 10, 3, 1, 2))
-	eng, err := sim.New(s, core.MustNew(a, core.Options{}), sim.Config{
+	p, err := core.New(a, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := sim.New(s, p, sim.Config{
 		Horizon:     timeu.FromMillis(20),
 		RecordTrace: true,
 	})

@@ -188,12 +188,6 @@ func TraceSummary(r *Result) string { return trace.Summarize(r) }
 // WCET overrun) and returns human-readable violations (empty = clean).
 func VerifyTrace(s *Set, r *Result) []string { return trace.Check(s, r) }
 
-// Figure6 runs the paper's Figure 6 sweep for one scenario with the
-// paper's parameters. Use Sweep for full control.
-func Figure6(sc Scenario) (*Report, error) {
-	return Sweep(experiment.DefaultConfig(sc))
-}
-
 // Sweep runs a fully customized utilization sweep through the default
 // Runner. Use SweepContext for cancellation, or Runner.Sweep for an
 // isolated session.

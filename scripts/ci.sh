@@ -9,16 +9,16 @@
 #   scripts/ci.sh serve-smoke                            # one job
 #
 # Jobs: test, lint, race, golden-figures, policy-smoke, bench-smoke,
-# serve-smoke, estimate-smoke, fleet-smoke, store-smoke, autoscale-smoke
-# and perf; each is the job-<name> function below. Artifacts go to ci-out/
+# bench-module, serve-smoke, estimate-smoke, fleet-smoke, store-smoke,
+# autoscale-smoke and perf; each is the job-<name> function below. Artifacts go to ci-out/
 # at the repo root (gitignored, emptied at the start of every invocation,
 # uploaded by CI); scratch files and binaries go to a mktemp directory.
 # Every job writes only there: no job touches a committed file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-all_jobs=(test lint race golden-figures policy-smoke bench-smoke serve-smoke
-  estimate-smoke fleet-smoke store-smoke autoscale-smoke perf)
+all_jobs=(test lint race golden-figures policy-smoke bench-smoke bench-module
+  serve-smoke estimate-smoke fleet-smoke store-smoke autoscale-smoke perf)
 
 out=ci-out
 tmp=$(mktemp -d)
@@ -166,6 +166,14 @@ job-policy-smoke() {
     echo "fig7 ksweep regressed (regenerate the golden only if the change is intended)" >&2
     return 1
   fi
+}
+
+# The repository benchmark (_benchmark/, a module of its own that imports
+# this one through a replace directive) is invisible to ./... here; vet
+# and test it so an API change that breaks it fails CI, not the benchmark.
+job-bench-module() {
+  step "_benchmark: go vet + go test"
+  (cd _benchmark && go vet ./... && go test ./...)
 }
 
 # Benchmark smoke: one iteration of every bench (catches bench rot) and a
